@@ -114,7 +114,7 @@ Stack build_stack(const std::string& sr_label, SetupTimes* times) {
 struct Window {
   int64_t done = 0;
   double wall_s = 0.0;
-  Groups groups{kGroupSize};
+  std::vector<double> latency_ms;
   std::vector<Stamps> stamps;  // traced windows only
 };
 
@@ -141,8 +141,7 @@ Window run_window(Stack& stack, const std::vector<Tensor>& pool, double seconds,
     const int64_t label = argmax(logits);
     if (traced) stamps[5] = sesr::obs::trace_now_ns();
     const Clock::time_point t1 = Clock::now();
-    window.groups.add(std::chrono::duration<double>(t1 - start).count(),
-                      std::chrono::duration<double, std::milli>(t1 - t0).count(), true);
+    window.latency_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
     if (traced) window.stamps.push_back(stamps);
     if (i % kCheckEvery == 0) checks.push_back({image, std::move(logits), label});
     ++window.done;
@@ -209,7 +208,7 @@ void run_defend(const RunOptions& options, const std::string& sr_label, Report& 
   if (!options.trace) {
     const Window window = run_window(stack, pool, options.seconds, false, 0, checks);
     report.attempted += window.done;
-    report_end_to_end(window.groups, report);
+    report_end_to_end(summarize_window(window.latency_ms, window.done, window.wall_s), report);
   } else {
     // Untraced and traced windows alternate so both see the same machine.
     int64_t next = 0;

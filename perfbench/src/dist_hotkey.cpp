@@ -103,7 +103,7 @@ struct Record {
 };
 
 struct Window {
-  Groups groups{kGroupSize};
+  std::vector<double> latency_ms;  // per reply, +inf when it failed
   std::deque<Record> records;  // traced windows only; stable addresses
   int64_t attempted = 0;
   int64_t failed = 0;
@@ -113,16 +113,14 @@ struct Window {
 };
 
 /// Closed loop: keep kOutstanding requests in flight for `seconds`, then
-/// drain. Each reply is compared with `expected` in its callback and folded
-/// into the window's groups there, so bookkeeping stays O(groups).
+/// drain. Each reply is compared with `expected` in its callback.
 Window run_window(sesr::dist::Frontend& frontend, const Tensor& tile, const Tensor& expected,
                   double seconds, bool traced) {
   Window window;
-  std::mutex mutex;  // guards window's counters and groups, and outstanding
+  std::mutex mutex;  // guards window's counters and latencies, and outstanding
   std::condition_variable cv;
   int64_t outstanding = 0;
   const Clock::time_point start = Clock::now();
-  const int64_t start_ns = sesr::obs::trace_now_ns();
   const Clock::time_point stop =
       start + std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(seconds));
   while (Clock::now() < stop) {
@@ -135,7 +133,7 @@ Window run_window(sesr::dist::Frontend& frontend, const Tensor& tile, const Tens
     const int64_t submit = sesr::obs::trace_now_ns();
     frontend.submit_async(
         Tensor(tile), {},
-        [&window, record, submit, start_ns, &expected, &mutex, &cv,
+        [&window, record, submit, &expected, &mutex, &cv,
          &outstanding](sesr::serve::ServeReply reply) {
           const int64_t done = sesr::obs::trace_now_ns();
           const bool ok = reply.ok();
@@ -144,10 +142,8 @@ Window run_window(sesr::dist::Frontend& frontend, const Tensor& tile, const Tens
           // Notify under the lock: the waiter may destroy cv as soon as it
           // sees outstanding == 0.
           const std::lock_guard<std::mutex> lock(mutex);
-          window.groups.add(static_cast<double>(done - start_ns) / 1e9,
-                            ok ? static_cast<double>(done - submit) / 1e6
-                               : std::numeric_limits<double>::infinity(),
-                            ok);
+          window.latency_ms.push_back(ok ? static_cast<double>(done - submit) / 1e6
+                                         : std::numeric_limits<double>::infinity());
           ++window.attempted;
           window.failed += ok ? 0 : 1;
           window.mismatches += ok && !matches ? 1 : 0;
@@ -227,7 +223,9 @@ void run_dist_hotkey(const RunOptions& options, Report& report) {
   if (!options.trace) {
     const Window window = run_window(frontend, tile, expected, options.seconds, false);
     account(window);
-    report_end_to_end(window.groups, report);
+    report_end_to_end(
+        summarize_window(window.latency_ms, window.attempted - window.failed, window.wall_s),
+        report);
   } else {
     // Untraced and traced windows alternate; the traced ones stamp the
     // benchmark's spans around submit_async and the reply callback.

@@ -4,9 +4,8 @@
 //
 // Prints the machine fingerprint, one line per metric (name, value, unit,
 // sample count), then a JSON object on its last line. perfbench/run.py builds
-// this binary, passes the frozen serve_mixed rates and turns that line into
-// the benchmark's result. Exit code 1 means an output check failed; 2 means
-// the run itself could not complete.
+// this binary and turns that line into the benchmark's result. Exit code 1
+// means an output check failed; 2 means the run itself could not complete.
 
 #include <sys/resource.h>
 
@@ -15,7 +14,6 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,22 +35,14 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-void report_end_to_end(const Groups& groups, Report& report) {
-  const RunSummary summary = groups.summary();
+void report_end_to_end(const RunSummary& summary, Report& report) {
   report.set("throughput_rps", summary.throughput_rps, "req/s", summary.samples);
   if (summary.p50_ms) report.set("latency_p50_ms", *summary.p50_ms, "ms", summary.samples);
   if (summary.p90_ms) report.set("latency_p90_ms", *summary.p90_ms, "ms", summary.samples);
+  if (summary.p99_ms) report.set("latency_p99_ms", *summary.p99_ms, "ms", summary.samples);
 }
 
 namespace {
-
-std::vector<double> parse_list(const std::string& text) {
-  std::vector<double> out;
-  std::stringstream stream(text);
-  for (std::string item; std::getline(stream, item, ',');)
-    if (!item.empty()) out.push_back(std::stod(item));
-  return out;
-}
 
 std::string cpu_model() {
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -85,9 +75,6 @@ int run(int argc, char** argv) {
     else if (arg == "--trace-out") options.trace_path = value;
     else if (arg == "--run-dir") options.run_dir = value;
     else if (arg == "--shard-bin") options.shard_binary = value;
-    else if (arg == "--low-rps") options.low_rps = std::stod(value);
-    else if (arg == "--high-rps") options.high_rps = std::stod(value);
-    else if (arg == "--sweep-rps") options.sweep_rps = parse_list(value);
     else if (arg == "--source-digest") source_digest = value;
     else throw std::invalid_argument("unknown argument " + arg);
   }

@@ -24,28 +24,14 @@ double median_of(std::vector<double> values) {
   return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
 }
 
-void Groups::add(double t_s, double latency_ms, bool done) {
-  ++samples_;
-  if (latency_.empty()) first_t_ = t_s;
-  last_t_ = t_s;
-  latency_.push_back(latency_ms);
-  done_ += done ? 1 : 0;
-  if (static_cast<int64_t>(latency_.size()) < size_) return;
-  const double span = last_t_ - first_t_;
-  rate_.push_back(span > 0.0 ? static_cast<double>(done_ - 1) / span : 0.0);
-  if (const auto p = percentile(latency_, 0.50)) p50_.push_back(*p);
-  if (const auto p = percentile(latency_, 0.90)) p90_.push_back(*p);
-  latency_.clear();
-  done_ = 0;
-}
-
-RunSummary Groups::summary() const {
+RunSummary summarize_window(const std::vector<double>& latency_ms, int64_t completed,
+                            double window_s) {
   RunSummary out;
-  out.samples = samples_;
-  if (rate_.empty()) return out;
-  out.throughput_rps = median_of(rate_);
-  if (p50_.size() == rate_.size()) out.p50_ms = median_of(p50_);
-  if (p90_.size() == rate_.size()) out.p90_ms = median_of(p90_);
+  out.samples = static_cast<int64_t>(latency_ms.size());
+  out.throughput_rps = window_s > 0.0 ? static_cast<double>(completed) / window_s : 0.0;
+  out.p50_ms = percentile(latency_ms, 0.50);
+  out.p90_ms = percentile(latency_ms, 0.90);
+  out.p99_ms = percentile(latency_ms, 0.99);
   return out;
 }
 

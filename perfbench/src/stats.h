@@ -24,40 +24,18 @@ inline constexpr int64_t kMinTail = 10;
 
 /// End-to-end figures of one timed window.
 struct RunSummary {
-  double throughput_rps = 0.0;
+  double throughput_rps = 0.0;  ///< completed requests over the window
   std::optional<double> p50_ms;
   std::optional<double> p90_ms;
+  std::optional<double> p99_ms;  ///< needs 1000 samples (see percentile)
   int64_t samples = 0;
 };
 
-/// Cuts a timed window's requests, in the order they finish (closed loop) or
-/// fall due (open loop), into consecutive groups of `size` and summarizes
-/// each group: its throughput (done requests over the group's time span),
-/// p50 and p90. The run's figures are the medians over the groups, so a burst
-/// of contention from other processes on the machine moves the run by a few
-/// ranks, not by its whole excess. A trailing partial group is dropped.
-/// Memory stays O(groups), so bookkeeping does not grow with throughput.
-class Groups {
- public:
-  explicit Groups(int64_t size) : size_(size) {}
-
-  /// `t_s`: when the request finished or was due; `latency_ms`: +inf when it
-  /// failed; `done`: counts toward throughput.
-  void add(double t_s, double latency_ms, bool done);
-
-  /// Medians over the complete groups; percentiles are nullopt when no group
-  /// is complete or the group size is too small for them.
-  [[nodiscard]] RunSummary summary() const;
-
- private:
-  int64_t size_;
-  int64_t samples_ = 0;
-  std::vector<double> latency_;  // current group
-  double first_t_ = 0.0;
-  double last_t_ = 0.0;
-  int64_t done_ = 0;
-  std::vector<double> rate_, p50_, p90_;  // per complete group
-};
+/// Summarize a timed window: `latency_ms` holds one entry per request of the
+/// window (+infinity when it failed), `completed` counts the requests that
+/// completed, and `window_s` is the window's length in seconds.
+[[nodiscard]] RunSummary summarize_window(const std::vector<double>& latency_ms,
+                                          int64_t completed, double window_s);
 
 /// Plain median of a small set (setup repeats, per-run windows); NaN if empty.
 [[nodiscard]] double median_of(std::vector<double> values);

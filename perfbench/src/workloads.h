@@ -26,10 +26,6 @@ struct RunOptions {
   std::string run_dir = ".";
   /// The sesr_shard binary (dist_hotkey).
   std::string shard_binary;
-  /// serve_mixed arrival rates (requests/s), frozen in perfbench/rates.json.
-  double low_rps = 0.0;
-  double high_rps = 0.0;
-  std::vector<double> sweep_rps;
 };
 
 struct Metric {
@@ -59,16 +55,12 @@ struct Report {
 /// Set-up repeats per run; every set-up metric is the median over them.
 inline constexpr int kSetupRepeats = 7;
 
-/// Requests per group of a timed window (see Groups): the smallest group
-/// that still has 10 samples beyond its p90.
-inline constexpr int64_t kGroupSize = 100;
-
 /// Peak resident memory of this process in MB.
 [[nodiscard]] double peak_rss_mb();
 
-/// Report throughput_rps, latency_p50_ms and latency_p90_ms of one timed
-/// window (medians over its groups).
-void report_end_to_end(const Groups& groups, Report& report);
+/// Report throughput_rps and latency_p50_ms, _p90_ms and _p99_ms of one
+/// timed window; a percentile the window has too few samples for is left out.
+void report_end_to_end(const RunSummary& summary, Report& report);
 
 void run_defend(const RunOptions& options, const std::string& sr_label, Report& report);
 void run_serve_mixed(const RunOptions& options, Report& report);

@@ -1,6 +1,6 @@
 // The benchmark's own unit tests: percentile refusal, seeded determinism of
 // inputs and arrival schedules, sustained_rps / max_shard_share on synthetic
-// inputs, and span self-time plus the Chrome trace round trip.
+// inputs, window summaries, and span self-time plus the Chrome trace round trip.
 //
 //   perfbench_selftest [scratch-trace-path]
 //
@@ -49,28 +49,20 @@ void test_percentile() {
   check(perfbench::median_of({4.0, 1.0, 2.0, 3.0}) == 2.5, "median of four");
 }
 
-void test_groups() {
-  // Four groups of 100 requests 10 ms apart, then a partial group; group 2
-  // ran during a stall (every latency x10).
-  perfbench::Groups groups(100);
-  perfbench::Groups small(50);
-  for (int g = 0; g < 4; ++g)
-    for (int i = 1; i <= 100; ++i) {
-      const double t = g + (i - 1) / 100.0;
-      const double latency = (g == 2 ? 10.0 : 1.0) * i;
-      groups.add(t, latency, true);
-      small.add(t, latency, true);
-    }
-  for (int i = 0; i < 50; ++i) groups.add(5.0 + i / 100.0, 1000.0, true);
-  const perfbench::RunSummary run = groups.summary();
-  check(std::abs(run.throughput_rps - 100.0) < 1e-9, "throughput is the median group rate");
-  check(run.p50_ms == 50.0, "p50 is the median of the group p50s: the stalled group drops out");
-  check(run.p90_ms == 90.0, "p90 is the median of the group p90s; the partial group is dropped");
-  check(run.samples == 450, "every sample is counted");
-  const perfbench::RunSummary thin = small.summary();
-  check(thin.p50_ms.has_value() && !thin.p90_ms.has_value(),
-        "groups too small for p90 refuse the run's p90");
-  check(!perfbench::Groups(100).summary().p50_ms.has_value(), "no complete group, no figures");
+void test_window_summary() {
+  // 1000 requests over 10 s, latencies 1..1000 ms: p99 has exactly 10 beyond.
+  const perfbench::RunSummary run = perfbench::summarize_window(one_to(1000), 1000, 10.0);
+  check(run.throughput_rps == 100.0, "throughput is completions over the window");
+  check(run.p50_ms == 500.0 && run.p99_ms == 990.0, "p50 and p99 over every sample");
+  check(run.samples == 1000, "every sample is counted");
+  // A stall that hits 2% of the window shows in p99 but not in p50.
+  std::vector<double> stalled(980, 1.0);
+  stalled.insert(stalled.end(), 20, 50.0);
+  const perfbench::RunSummary tail = perfbench::summarize_window(stalled, 1000, 10.0);
+  check(tail.p50_ms == 1.0 && tail.p99_ms == 50.0, "a 2% stall moves p99");
+  const perfbench::RunSummary thin = perfbench::summarize_window(one_to(999), 999, 10.0);
+  check(thin.p50_ms.has_value() && !thin.p99_ms.has_value(),
+        "a window under 1000 samples refuses its p99");
 }
 
 void test_determinism() {
@@ -160,7 +152,7 @@ void test_spans(const std::string& trace_path) {
 int main(int argc, char** argv) {
   const std::string trace_path = argc > 1 ? argv[1] : "perfbench_selftest_trace.json";
   test_percentile();
-  test_groups();
+  test_window_summary();
   test_determinism();
   test_sustained_and_share();
   test_spans(trace_path);
